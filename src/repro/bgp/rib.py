@@ -9,7 +9,7 @@ heterogeneity the neutral xBGP representation has to bridge.
 
 from __future__ import annotations
 
-from typing import Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
+from typing import Collection, Dict, Generic, Hashable, Iterator, List, Optional, Tuple, TypeVar
 
 from .attributes import PathAttribute
 from .constants import AttrTypeCode, Origin
@@ -90,6 +90,40 @@ class RouteView:
     def peer_address(self) -> int:
         return self.source.peer_address if self.source is not None else 0
 
+    # -- host-core accessors (RFC 4271 / 4456 / 1997 reads) ----------------
+
+    def path_contains(self, asn: int) -> bool:
+        """AS-path loop check."""
+        attribute = self.attribute(AttrTypeCode.AS_PATH)
+        return attribute is not None and attribute.as_path().contains(asn)
+
+    def originator_id(self) -> Optional[int]:
+        attribute = self.attribute(AttrTypeCode.ORIGINATOR_ID)
+        return attribute.as_u32() if attribute is not None else None
+
+    def cluster_list(self) -> Tuple[int, ...]:
+        attribute = self.attribute(AttrTypeCode.CLUSTER_LIST)
+        return attribute.as_cluster_list() if attribute is not None else ()
+
+    def communities(self) -> Optional[Collection[int]]:
+        """COMMUNITIES values, or None when the attribute is absent."""
+        attribute = self.attribute(AttrTypeCode.COMMUNITIES)
+        return attribute.as_communities() if attribute is not None else None
+
+    def cache_key(self) -> Hashable:
+        """Hashable identity of the attribute set alone.
+
+        Keys the hosts' export caches and, with the peer, the
+        provenance story.  Vendor route classes override this with
+        cheaper keys (interned attribute sets, eattr-list cache keys).
+        """
+        return tuple(
+            sorted(
+                (int(attr.type_code), attr.flags, bytes(attr.value))
+                for attr in self.attribute_list()
+            )
+        )
+
     # -- provenance -----------------------------------------------------
 
     def story_key(self):
@@ -98,19 +132,9 @@ class RouteView:
         The provenance flap/oscillation detector compares successive
         best routes by this key: two routes with the same learning peer
         and byte-identical attribute sets are the same path, however
-        many times the object was rebuilt.  Vendor route classes
-        override this with cheaper keys (interned attribute sets,
-        eattr-list cache keys).
+        many times the object was rebuilt.
         """
-        return (
-            self.peer_address(),
-            tuple(
-                sorted(
-                    (int(attr.type_code), attr.flags, bytes(attr.value))
-                    for attr in self.attribute_list()
-                )
-            ),
-        )
+        return (self.peer_address(), self.cache_key())
 
 
 class AdjRibIn(Generic[R]):

@@ -18,8 +18,9 @@ from ..ebpf.helpers import HelperError, HelperTable
 from ..ebpf.isa import decode_program
 from ..ebpf.memory import SandboxViolation, VmMemory
 from ..ebpf.vm import ExecutionError, VirtualMachine
+from ..host.registry import HOSTS
 from ..plugins import geoloc, origin_validation, route_reflector
-from ..sim.harness import DAEMONS, Collector
+from ..sim.harness import Collector
 from .gen import FUZZ_HELPER_IDS, HALLOC_BLOCK, CodecCase, EngineCase, HostCase
 
 __all__ = [
@@ -382,7 +383,7 @@ def _build_daemon(case: HostCase, implementation: str, hot: bool):
     }
     if case.plugin == "geoloc" and case.coord is not None:
         kwargs["xtra"] = {"coord": geoloc.coord_bytes(*case.coord)}
-    daemon = DAEMONS[implementation](**kwargs)
+    daemon = HOSTS[implementation](**kwargs)
     if case.plugin == "route_reflector":
         daemon.attach_manifest(route_reflector.build_manifest())
     elif case.plugin == "origin_validation":
@@ -561,10 +562,10 @@ def run_host_case(case: HostCase) -> Optional[Divergence]:
     try:
         arms = {
             (implementation, hot): _run_host_arm(case, implementation, hot)
-            for implementation in DAEMONS
+            for implementation in HOSTS
             for hot in (True, False)
         }
-        for implementation in DAEMONS:
+        for implementation in HOSTS:
             key = _first_key_diff(
                 arms[(implementation, True)], arms[(implementation, False)], _ARM_KEYS
             )
@@ -584,7 +585,7 @@ def run_host_case(case: HostCase) -> Optional[Divergence]:
                 f"(plugin={case.plugin}, engine={case.engine})",
             )
         # Scale arms: batching and sharding must be invisible.
-        for implementation in DAEMONS:
+        for implementation in HOSTS:
             sequential = arms[(implementation, True)]
             batched = _run_host_arm_batched(case, implementation, True)
             key = _first_key_diff(sequential, batched, _BATCH_KEYS)

@@ -31,7 +31,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..bgp.messages import UpdateMessage
 from ..bgp.prefix import Prefix, parse_ipv4
-from ..bgp.roa import HashRoaTable, Roa, TrieRoaTable
+from ..bgp.roa import Roa
 from ..bgp.trie import PrefixTrie
 from ..core.vmm import VmmConfig
 from ..telemetry.health import QuarantinePolicy
@@ -209,8 +209,7 @@ def build_scale_daemon(config: Dict[str, object]):
     :class:`~repro.sim.harness.ConvergenceHarness`, extended to all
     five paper plugins.
     """
-    from ..bird.daemon import BirdDaemon
-    from ..frr.daemon import FrrDaemon
+    from ..host.registry import HOSTS
     from ..plugins import (
         closest_exit,
         faulty,
@@ -220,7 +219,6 @@ def build_scale_daemon(config: Dict[str, object]):
         valley_free,
     )
 
-    daemons = {"frr": FrrDaemon, "bird": BirdDaemon}
     implementation = str(config["implementation"])
     feature = str(config.get("feature", "plain"))
     mode = str(config.get("mode", "native"))
@@ -255,13 +253,13 @@ def build_scale_daemon(config: Dict[str, object]):
     if feature == "route_reflection":
         kwargs["route_reflector"] = mode
     if feature == "origin_validation" and mode == "native":
-        table = TrieRoaTable() if implementation == "frr" else HashRoaTable()
+        table = HOSTS[implementation].roa_table_class()
         table.extend(roas)
         kwargs["roa_table"] = table
     if feature in ("geoloc", "closest_exit"):
         latitude, longitude = coord if coord is not None else (50.85, 4.35)
         kwargs["xtra"] = {"coord": geoloc.coord_bytes(latitude, longitude)}
-    daemon = daemons[implementation](**kwargs)
+    daemon = HOSTS[implementation](**kwargs)
 
     if mode == "extension" or feature in ("valley_free", "geoloc", "closest_exit"):
         if feature == "route_reflection":

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from ..bird.daemon import BirdDaemon
-from ..frr.daemon import FrrDaemon
+from ..host.registry import HOSTS
 from ..plugins import valley_free
 from .network import Network
 
@@ -118,9 +117,9 @@ def build_clos(config: str = "xbgp", implementation: str = "bird") -> Network:
     names = list(UNIQUE_AS)
     for index, name in enumerate(names):
         if implementation == "mixed":
-            daemon_cls = FrrDaemon if index % 2 == 0 else BirdDaemon
+            daemon_cls = HOSTS["frr"] if index % 2 == 0 else HOSTS["bird"]
         else:
-            daemon_cls = FrrDaemon if implementation == "frr" else BirdDaemon
+            daemon_cls = HOSTS[implementation]
         router_id = f"10.99.{index + 1}.1"
         daemon = daemon_cls(asn=as_map[name], router_id=router_id)
         network.add_router(name, daemon)

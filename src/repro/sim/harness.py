@@ -21,20 +21,17 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..bgp.messages import UpdateMessage, split_stream
 from ..bgp.prefix import Prefix, format_ipv4, parse_ipv4
+from ..bgp.roa import Roa
 from ..bird.daemon import BirdDaemon
-from ..frr.daemon import FrrDaemon
-from ..bgp.roa import HashRoaTable, Roa, TrieRoaTable
+from ..host.registry import HOSTS
 from ..plugins import origin_validation, route_reflector
 from ..workload.rib_gen import RouteSpec, build_updates
 
 __all__ = [
     "Collector",
     "ConvergenceHarness",
-    "DAEMONS",
     "build_explain_scenario",
 ]
-
-DAEMONS = {"frr": FrrDaemon, "bird": BirdDaemon}
 
 _UPSTREAM = "10.0.1.2"
 _DUT = "10.0.0.1"
@@ -107,7 +104,7 @@ class ConvergenceHarness:
         quarantine_after: int = 0,
         inject_crasher: bool = False,
     ):
-        if implementation not in DAEMONS:
+        if implementation not in HOSTS:
             raise ValueError(f"unknown implementation {implementation!r}")
         if feature not in ("route_reflection", "origin_validation", "plain"):
             raise ValueError(f"unknown feature {feature!r}")
@@ -207,7 +204,7 @@ class ConvergenceHarness:
         from . import harness as _self  # noqa: F401 (keep import graph simple)
         from ..plugins import pynative
 
-        daemon_cls = DAEMONS[self.implementation]
+        daemon_cls = HOSTS[self.implementation]
         kwargs: Dict[str, object] = {
             "asn": 65001,
             "router_id": _DUT,
@@ -228,7 +225,7 @@ class ConvergenceHarness:
             kwargs["route_reflector"] = self.mode
         if self.feature == "origin_validation" and self.mode == "native":
             # FRR natively browses a trie; BIRD natively probes a hash.
-            table = TrieRoaTable() if self.implementation == "frr" else HashRoaTable()
+            table = daemon_cls.roa_table_class()
             table.extend(self.roas)
             kwargs["roa_table"] = table
         dut = daemon_cls(**kwargs)
@@ -500,14 +497,14 @@ def build_explain_scenario(
     from ..plugins import route_reflector as rr_plugin
     from .network import Network
 
-    if implementation not in DAEMONS:
+    if implementation not in HOSTS:
         raise ValueError(f"unknown implementation {implementation!r}")
     if engine not in ("jit", "interp", "native", "pyext"):
         raise ValueError(f"unknown engine {engine!r}")
     network = Network()
     up = BirdDaemon(asn=65001, router_id="10.0.1.1", provenance=True)
     vm_tier = engine if engine in ("jit", "interp", "native") else "jit"
-    dut = DAEMONS[implementation](
+    dut = HOSTS[implementation](
         asn=65001,
         router_id="10.0.0.1",
         route_reflector="extension",

@@ -7,7 +7,18 @@ despite their different internal representations.
 
 import pytest
 
-from repro.bgp.prefix import parse_ipv4
+from repro.bgp.aspath import AsPath
+from repro.bgp.attributes import (
+    PathAttribute,
+    make_as_path,
+    make_geoloc,
+    make_next_hop,
+    make_origin,
+)
+from repro.bgp.communities import LargeCommunity, encode_large_communities
+from repro.bgp.constants import AttrFlag, AttrTypeCode, Origin
+from repro.bgp.messages import UpdateMessage, split_stream
+from repro.bgp.prefix import Prefix, parse_ipv4
 from repro.bgp.roa import make_roas_for_prefixes
 from repro.bird import BirdDaemon
 from repro.core.insertion_points import InsertionPoint
@@ -109,3 +120,40 @@ class TestSameBytecodeSameState:
             exported.append(len(sent))
             assert daemon.stats["export_rejected"] == 50
         assert exported[0] == exported[1]
+
+
+class TestSameUpdateSameExport:
+    def exported_attributes(self, cls, attributes):
+        daemon = cls(asn=65001, router_id="1.1.1.1")
+        sent = []
+        daemon.add_neighbor("10.0.0.9", 65100, lambda data: None)
+        daemon.add_neighbor("10.0.0.5", 65500, sent.append)
+        daemon.session_up("10.0.0.9")
+        daemon.session_up("10.0.0.5")
+        prefix = Prefix.parse("203.0.113.0/24")
+        daemon.receive_message(
+            "10.0.0.9", UpdateMessage(attributes=attributes, nlri=[prefix])
+        )
+        stream = bytearray(b"".join(sent))
+        (update,) = [m for m in split_stream(stream) if getattr(m, "nlri", None)]
+        return {a.type_code: (a.flags, a.value) for a in update.attributes}
+
+    def test_large_communities_reexported_by_both_hosts(self):
+        large = PathAttribute(
+            AttrFlag.OPTIONAL | AttrFlag.TRANSITIVE,
+            AttrTypeCode.LARGE_COMMUNITIES,
+            encode_large_communities([LargeCommunity(65100, 1, 2)]),
+        )
+        attributes = [
+            make_origin(Origin.IGP),
+            make_as_path(AsPath.from_sequence([65100])),
+            make_next_hop(parse_ipv4("10.0.0.9")),
+            large,
+            make_geoloc(50.85, 4.35),
+        ]
+        frr = self.exported_attributes(FrrDaemon, attributes)
+        bird = self.exported_attributes(BirdDaemon, attributes)
+        assert frr == bird
+        assert frr[AttrTypeCode.LARGE_COMMUNITIES] == (large.flags, large.value)
+        # Codes no host knows still need a BGP_ENCODE_MESSAGE extension.
+        assert AttrTypeCode.GEOLOC not in frr
