@@ -50,7 +50,9 @@ def _state(vm):
 
 #: Pre-built delegation signal.  ``next()`` fires on most runs of a
 #: filter-style extension; reusing one exception instance skips the
-#: per-raise allocation (the traceback is rewritten on every raise).
+#: per-raise allocation.  Each raise must drop the previous traceback:
+#: a re-raised instance appends to it, keeping every earlier run's
+#: frames (contexts, routes) alive.
 _NEXT = NextRequested()
 
 
@@ -67,7 +69,7 @@ def build_helper_table() -> HelperTable:
 
     def helper_next(vm, *args) -> int:
         _ctx(vm).next_requested = True
-        raise _NEXT
+        raise _NEXT.with_traceback(None)
 
     # -- argument / peer access ------------------------------------------
 

@@ -236,6 +236,33 @@ class TestVmm:
         ctx = ExecutionContext(vmm.host, InsertionPoint.BGP_INBOUND_FILTER)
         assert vmm.run(ctx, lambda: 77) == 77
 
+    def test_next_does_not_retain_earlier_runs(self):
+        import gc
+        import weakref
+
+        class Token:
+            pass
+
+        vmm = VirtualMachineManager(NullHost())
+        code = self._code("x", "u64 f(u64 a) { next(); return 5; }")
+        vmm.attach_program(XbgpProgram("p", [code]))
+        first = Token()
+        ref = weakref.ref(first)
+        ctx = ExecutionContext(vmm.host, InsertionPoint.BGP_INBOUND_FILTER, route=first)
+        assert vmm.run(ctx, lambda: 77) == 77
+        del first, ctx
+        for _ in range(50):
+            ctx = ExecutionContext(vmm.host, InsertionPoint.BGP_INBOUND_FILTER, route=Token())
+            assert vmm.run(ctx, lambda: 77) == 77
+        gc.collect()
+        assert ref() is None
+        from repro.core.api import _NEXT
+
+        frames, tb = 0, _NEXT.__traceback__
+        while tb is not None:
+            frames, tb = frames + 1, tb.tb_next
+        assert frames <= 4
+
     def test_chain_order_and_next(self):
         vmm = VirtualMachineManager(NullHost())
         first = self._code("first", "u64 f(u64 a) { next(); return 1; }", seq=0)
