@@ -12,6 +12,7 @@ pure-Python system:
 * :mod:`repro.frr` / :mod:`repro.bird` - two xBGP-compliant BGP
   daemons with deliberately different internals (FRRouting-like and
   BIRD-like);
+* :mod:`repro.host` - the RFC 4271 daemon core both hosts subclass;
 * :mod:`repro.bgp` - the shared RFC 4271 substrate (wire format, RIBs,
   decision process, FSM, ROAs);
 * :mod:`repro.plugins` - the paper's five use cases as xBGP programs;
